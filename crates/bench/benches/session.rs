@@ -9,10 +9,12 @@ use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
 use hmd_hpc_sim::workload::AppClass;
 use hmd_ml::classifier::ClassifierKind;
 use hmd_serve::metrics::Metrics;
-use hmd_serve::session::{SessionConfig, SessionEngine, StoreKind, TimeSource};
+use hmd_serve::session::{
+    SessionConfig, SessionEngine, StoreKind, SubmitBatch, SubmitError, TimeSource,
+};
 use std::hint::black_box;
 use std::sync::Arc;
-use twosmart::detector::TwoSmartDetector;
+use twosmart::detector::{TwoSmartDetector, Verdict};
 
 fn detector() -> TwoSmartDetector {
     let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
@@ -43,11 +45,27 @@ fn engine(store: StoreKind, idle_after: u64) -> SessionEngine {
 
 const RESIDENT: u64 = 100_000;
 
+/// One submission drained through a reused batch, as a serving connection
+/// does, so the timed rows carry no per-call batch allocation.
+fn submit_one(
+    e: &SessionEngine,
+    batch: &mut SubmitBatch,
+    host: u64,
+    seq: u64,
+    counters: &[f64],
+) -> Result<Option<Verdict>, SubmitError> {
+    batch.clear();
+    batch.push(host, seq, counters);
+    e.submit_batch(batch);
+    let (_, result) = batch.results().next().expect("one outcome per item");
+    result.clone()
+}
+
 /// The store path of a submit against 100k resident sessions: shard
 /// lock, host-id → session lookup, seq check. Measured with a
 /// duplicate-seq probe — the engine resolves the session and rejects the
-/// replay before touching detector state — because a verdict-producing
-/// submit spends ~500 ns in inference and per-host detector state that
+/// replay before touching window state — because a verdict-producing
+/// submit spends ~500 ns in inference and per-host window state that
 /// is byte-identical across stores and would mask the store delta (see
 /// the `_e2e` rows for that full cost). Hosts are visited in a
 /// locality-hostile stride; a single shard so the oracle's tree depth
@@ -64,10 +82,11 @@ fn bench_submit_resident(c: &mut Criterion) {
             e.submit(h, 0, &counters).unwrap();
         }
         let mut h = 0u64;
+        let mut batch = SubmitBatch::new();
         c.bench_function(name, |b| {
             b.iter(|| {
                 h = (h + 77_773) % RESIDENT;
-                e.submit(black_box(h), 0, black_box(&counters)).is_err()
+                submit_one(&e, &mut batch, black_box(h), 0, black_box(&counters)).is_err()
             })
         });
     }
@@ -86,11 +105,12 @@ fn bench_submit_resident(c: &mut Criterion) {
             seqs[h as usize] += 1;
         }
         let mut h = 0u64;
+        let mut batch = SubmitBatch::new();
         c.bench_function(name, |b| {
             b.iter(|| {
                 h = (h + 77_773) % RESIDENT;
                 let seq = &mut seqs[h as usize];
-                let r = e.submit(black_box(h), *seq, black_box(&counters));
+                let r = submit_one(&e, &mut batch, black_box(h), *seq, black_box(&counters));
                 *seq += 1;
                 r
             })
@@ -124,12 +144,13 @@ fn bench_evict_tick(c: &mut Criterion) {
         let counters = [1.25e6, 3.1e5, 4.7e4, 9.9e3];
         let mut seqs = vec![0u64; HOSTS as usize];
         let mut evicted = Vec::new();
+        let mut batch = SubmitBatch::new();
         let mut tick = |now: u64, e: &SessionEngine| {
             e.set_time(now);
             for k in 0..COHORT {
                 let h = (now * COHORT + k) % HOSTS;
                 let seq = &mut seqs[h as usize];
-                e.submit(h, *seq, &counters).unwrap();
+                submit_one(e, &mut batch, h, *seq, &counters).unwrap();
                 *seq += 1;
             }
             e.evict_idle_at_into(now, &mut evicted);

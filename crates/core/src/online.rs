@@ -11,6 +11,11 @@
 //! - **majority smoothing** over the last `votes` window verdicts, so a
 //!   single noisy window cannot flip the alarm.
 //!
+//! Both are model-free per-host state ([`HostState`]), sized by the
+//! per-deployment [`WindowSpec`]. A fleet server scores every host with one
+//! detector and keeps a `HostState` per host; [`OnlineDetector`] is the
+//! single-host API: one detector plus one `HostState`.
+//!
 //! Internally the window is a flat ring buffer with an incremental rolling
 //! sum — each [`push`](OnlineDetector::push) is O(k) in the number of
 //! programmed events instead of O(window·k) — and smoothing maintains
@@ -78,62 +83,31 @@ impl fmt::Display for OnlineError {
 
 impl Error for OnlineError {}
 
-/// A deployable online detector: sliding-window aggregation plus
-/// majority-vote smoothing.
-///
-/// Samples live in a flat `window × k` ring buffer with a per-event rolling
-/// sum maintained incrementally (evicted reading subtracted, new reading
-/// added). HPC readings are integer counts below 2⁵³, for which the
-/// incremental sum is exact; as a belt-and-braces measure against drift on
-/// fractional inputs the sum is also rebuilt by a plain left fold each time
-/// the ring wraps, which amortizes to O(k) per push.
+/// The per-deployment half of online detection: which events a reading
+/// carries, how many readings make a window and how many raw verdicts
+/// make a vote. Validated once against the detector and shared by every
+/// host's [`HostState`].
 #[derive(Debug, Clone)]
-pub struct OnlineDetector {
-    detector: TwoSmartDetector,
+pub struct WindowSpec {
     window: usize,
     votes: usize,
-    /// Number of programmed events (reading arity), fixed at construction.
-    k: usize,
     /// 44-event feature index of each programmed event, cached so a push
-    /// skips the detector's per-call deployability re-verification.
+    /// skips the detector's per-call deployability re-verification. Its
+    /// length is the reading arity.
     event_indices: Vec<usize>,
-    /// Flat `window × k` sample ring; slot `i` is `ring[i*k..(i+1)*k]`.
-    ring: Vec<f64>,
-    /// Number of valid samples in the ring (`<= window`).
-    filled: usize,
-    /// Next slot to write (`0..window`).
-    pos: usize,
-    /// Rolling per-event sums over the retained samples.
-    sums: Vec<f64>,
-    /// Window-mean scratch handed to the detector.
-    mean: Vec<f64>,
-    /// Retained raw verdicts, oldest first (capacity-bounded, never grows).
-    verdicts: VecDeque<Verdict>,
-    /// How many retained verdicts flag malware (of any class).
-    malware_votes: usize,
-    /// Per-class vote tallies, indexed in [`AppClass::MALWARE`] order.
-    class_votes: [usize; AppClass::MALWARE.len()],
-    /// Detection scratch reused across pushes.
-    scratch: DetectScratch,
 }
 
-impl OnlineDetector {
-    /// Wraps a trained 4-HPC detector.
-    ///
-    /// `window` is the number of 10 ms readings aggregated per raw verdict;
-    /// `votes` is the number of recent raw verdicts over which the smoothed
-    /// decision takes a majority.
+impl WindowSpec {
+    /// Validates `window`/`votes` and the detector's deployability.
     ///
     /// # Errors
     ///
-    /// [`OnlineError::NotDeployable`] if the detector was trained with more
-    /// than the 4 Common events; [`OnlineError::ZeroLength`] if `window` or
-    /// `votes` is zero.
+    /// As [`OnlineDetector::new`].
     pub fn new(
-        detector: TwoSmartDetector,
+        detector: &TwoSmartDetector,
         window: usize,
         votes: usize,
-    ) -> Result<OnlineDetector, OnlineError> {
+    ) -> Result<WindowSpec, OnlineError> {
         if window == 0 {
             return Err(OnlineError::ZeroLength("window"));
         }
@@ -143,98 +117,72 @@ impl OnlineDetector {
         let Some(events) = detector.runtime_events() else {
             return Err(OnlineError::NotDeployable);
         };
-        let k = events.len();
-        let event_indices = events.iter().map(|e| e.index()).collect();
-        Ok(OnlineDetector {
-            detector,
+        Ok(WindowSpec {
             window,
             votes,
-            k,
-            event_indices,
-            ring: vec![0.0; window * k],
-            filled: 0,
-            pos: 0,
-            sums: vec![0.0; k],
-            mean: vec![0.0; k],
-            verdicts: VecDeque::with_capacity(votes),
-            malware_votes: 0,
-            class_votes: [0; AppClass::MALWARE.len()],
-            scratch: DetectScratch::new(),
+            event_indices: events.iter().map(|e| e.index()).collect(),
         })
     }
 
-    /// The wrapped detector.
-    pub fn detector(&self) -> &TwoSmartDetector {
-        &self.detector
-    }
-
-    /// Counters each reading must carry: one per programmed event. This is
-    /// fixed at construction, so callers can validate input arity without
-    /// re-deriving the deployment's event set.
+    /// Counters each reading must carry: one per programmed event.
     pub fn arity(&self) -> usize {
-        self.k
+        self.event_indices.len()
     }
+}
 
-    /// The aggregation window length in samples.
-    pub fn window(&self) -> usize {
-        self.window
-    }
+/// One host's model-free online state: the sample window and the vote
+/// history, sized by a [`WindowSpec`] and always driven with that spec.
+///
+/// Samples live in a flat `window × k` ring buffer with a per-event rolling
+/// sum maintained incrementally (evicted reading subtracted, new reading
+/// added). HPC readings are integer counts below 2⁵³, for which the
+/// incremental sum is exact; as a belt-and-braces measure against drift on
+/// fractional inputs the sum is also rebuilt by a plain left fold each time
+/// the ring wraps, which amortizes to O(k) per push.
+#[derive(Debug, Clone)]
+pub struct HostState {
+    /// Flat `window × k` sample ring; slot `i` is `ring[i*k..(i+1)*k]`.
+    ring: Vec<f64>,
+    /// Number of valid samples in the ring (`<= window`).
+    filled: usize,
+    /// Next slot to write (`0..window`).
+    pos: usize,
+    /// Rolling per-event sums over the retained samples.
+    sums: Vec<f64>,
+    /// Retained raw verdicts, oldest first (capacity-bounded, never grows).
+    verdicts: VecDeque<Verdict>,
+    /// How many retained verdicts flag malware (of any class).
+    malware_votes: usize,
+    /// Per-class vote tallies, indexed in [`AppClass::MALWARE`] order.
+    class_votes: [usize; AppClass::MALWARE.len()],
+}
 
-    /// Number of raw verdicts in the smoothing majority.
-    pub fn votes(&self) -> usize {
-        self.votes
-    }
-
-    /// Number of further [`push`](Self::push) calls needed before a verdict
-    /// is produced (0 once the window is full).
-    pub fn warmup_remaining(&self) -> usize {
-        self.window - self.filled
-    }
-
-    /// Feeds one counter reading (in [`TwoSmartDetector::runtime_events`]
-    /// order). Returns the smoothed verdict once the window has filled,
-    /// `None` during warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counters` has the wrong length. Service paths handling
-    /// untrusted input should call [`try_push`](Self::try_push) instead.
-    // hmd-analyze: hot-path
-    pub fn push(&mut self, counters: &[f64]) -> Option<Verdict> {
-        self.try_push(counters)
-            .expect("one reading per programmed event")
-    }
-
-    /// Non-panicking [`push`](Self::push): rejects a wrong-length reading
-    /// with [`OnlineError::BadLength`] and leaves the window and vote state
-    /// untouched, so a malformed submission cannot corrupt or kill a
-    /// serving session.
-    ///
-    /// # Errors
-    ///
-    /// [`OnlineError::BadLength`] if `counters` does not have one entry per
-    /// programmed event.
-    // hmd-analyze: hot-path
-    pub fn try_push(&mut self, counters: &[f64]) -> Result<Option<Verdict>, OnlineError> {
-        let mut features44 = [0.0; Event::COUNT];
-        if !self.advance_window(counters, &mut features44)? {
-            return Ok(None);
+impl HostState {
+    /// Empty window and vote history for one host under `spec`.
+    pub fn new(spec: &WindowSpec) -> HostState {
+        HostState {
+            ring: vec![0.0; spec.window * spec.arity()],
+            filled: 0,
+            pos: 0,
+            sums: vec![0.0; spec.arity()],
+            verdicts: VecDeque::with_capacity(spec.votes),
+            malware_votes: 0,
+            class_votes: [0; AppClass::MALWARE.len()],
         }
-        let raw = self.detector.detect_with(&features44, &mut self.scratch);
-        Ok(Some(self.apply_verdict(raw)))
     }
 
-    /// The windowing half of [`try_push`](Self::try_push): folds one
-    /// reading into the ring and, once the window is full, writes the
-    /// 44-event window-mean expansion into `features44` and returns
-    /// `Ok(true)` — a raw verdict is now due. Returns `Ok(false)` during
-    /// warm-up. Only the programmed events' slots are written, so callers
-    /// must hand in a zeroed array (as `try_push` does).
-    ///
-    /// Splitting windowing from classification lets a serving shard
-    /// aggregate many sessions' ready windows and score them through one
-    /// batched detector call; `advance_window` + `detect_with` +
-    /// [`apply_verdict`](Self::apply_verdict) is exactly `try_push`.
+    /// Heap bytes held by the window and vote buffers.
+    pub fn heap_bytes(&self) -> usize {
+        (self.ring.capacity() + self.sums.capacity()) * std::mem::size_of::<f64>()
+            + self.verdicts.capacity() * std::mem::size_of::<Verdict>()
+    }
+
+    /// Folds one reading into the ring and, once the window is full,
+    /// writes the 44-event window-mean expansion into `features44` and
+    /// returns `Ok(true)` — a raw verdict is now due. Returns `Ok(false)`
+    /// during warm-up. Only the programmed events' slots are written, so
+    /// callers must hand in a zeroed array. Windowing is split from scoring
+    /// so a serving shard can score many hosts' windows in one batched call.
     ///
     /// # Errors
     ///
@@ -243,10 +191,11 @@ impl OnlineDetector {
     // hmd-analyze: hot-path
     pub fn advance_window(
         &mut self,
+        spec: &WindowSpec,
         counters: &[f64],
         features44: &mut [f64; Event::COUNT],
     ) -> Result<bool, OnlineError> {
-        let k = self.k;
+        let k = spec.arity();
         if counters.len() != k {
             return Err(OnlineError::BadLength {
                 expected: k,
@@ -258,7 +207,7 @@ impl OnlineDetector {
         // slot, add the new one. O(k), no allocation.
         let slot = self.pos * k;
         let old = &mut self.ring[slot..slot + k];
-        if self.filled == self.window {
+        if self.filled == spec.window {
             for (s, o) in self.sums.iter_mut().zip(old.iter()) {
                 *s -= o;
             }
@@ -270,7 +219,7 @@ impl OnlineDetector {
             *s += v;
         }
         self.pos += 1;
-        if self.pos == self.window {
+        if self.pos == spec.window {
             self.pos = 0;
             // The ring just wrapped: physical order equals logical
             // (oldest-first) order, so a contiguous left fold rebuilds the
@@ -283,50 +232,36 @@ impl OnlineDetector {
                 }
             }
         }
-        if self.filled < self.window {
+        if self.filled < spec.window {
             return Ok(false);
         }
 
         // Window mean, expanded to the 44-event layout. The expansion uses
         // the cached indices — the same mapping `detect_from_counters`
         // performs, minus its per-call deployability re-verification.
-        for (&idx, (m, &s)) in self
-            .event_indices
-            .iter()
-            .zip(self.mean.iter_mut().zip(self.sums.iter()))
-        {
-            *m = s / self.window as f64;
-            features44[idx] = *m;
+        for (&idx, &s) in spec.event_indices.iter().zip(self.sums.iter()) {
+            features44[idx] = s / spec.window as f64;
         }
         Ok(true)
     }
 
-    /// The smoothing half of [`try_push`](Self::try_push): folds one raw
-    /// verdict into the vote ring and returns the smoothed majority
-    /// decision.
+    /// Folds one raw verdict into the vote ring and returns the smoothed
+    /// majority decision.
     // hmd-analyze: hot-path
-    pub fn apply_verdict(&mut self, raw: Verdict) -> Verdict {
-        if self.verdicts.len() == self.votes {
+    pub fn apply_verdict(&mut self, spec: &WindowSpec, raw: Verdict) -> Verdict {
+        if self.verdicts.len() == spec.votes {
             let evicted = self.verdicts.pop_front().expect("ring is non-empty");
             if let Verdict::Malware { class, .. } = evicted {
                 self.malware_votes -= 1;
-                self.class_votes[Self::malware_index(class)] -= 1;
+                self.class_votes[malware_index(class)] -= 1;
             }
         }
         self.verdicts.push_back(raw);
         if let Verdict::Malware { class, .. } = raw {
             self.malware_votes += 1;
-            self.class_votes[Self::malware_index(class)] += 1;
+            self.class_votes[malware_index(class)] += 1;
         }
         self.smoothed()
-    }
-
-    /// Index of a malware class in [`AppClass::MALWARE`] order.
-    fn malware_index(class: AppClass) -> usize {
-        AppClass::MALWARE
-            .iter()
-            .position(|c| *c == class)
-            .expect("verdict classes are malware classes")
     }
 
     /// Majority decision over the retained raw verdicts: malware iff more
@@ -365,8 +300,7 @@ impl OnlineDetector {
         }
     }
 
-    /// Clears window and vote state (e.g. when the monitored process
-    /// changes).
+    /// Clears window and vote state without releasing the buffers.
     pub fn reset(&mut self) {
         self.filled = 0;
         self.pos = 0;
@@ -374,6 +308,139 @@ impl OnlineDetector {
         self.verdicts.clear();
         self.malware_votes = 0;
         self.class_votes = [0; AppClass::MALWARE.len()];
+    }
+}
+
+/// Index of a malware class in [`AppClass::MALWARE`] order.
+fn malware_index(class: AppClass) -> usize {
+    AppClass::MALWARE
+        .iter()
+        .position(|c| *c == class)
+        .expect("verdict classes are malware classes")
+}
+
+/// A deployable single-host online detector: a trained detector plus one
+/// [`HostState`] — sliding-window aggregation and majority-vote smoothing.
+#[derive(Debug, Clone)]
+pub struct OnlineDetector {
+    detector: TwoSmartDetector,
+    spec: WindowSpec,
+    host: HostState,
+    /// Detection scratch reused across pushes.
+    scratch: DetectScratch,
+}
+
+impl OnlineDetector {
+    /// Wraps a trained 4-HPC detector.
+    ///
+    /// `window` is the number of 10 ms readings aggregated per raw verdict;
+    /// `votes` is the number of recent raw verdicts over which the smoothed
+    /// decision takes a majority.
+    ///
+    /// # Errors
+    ///
+    /// [`OnlineError::NotDeployable`] if the detector was trained with more
+    /// than the 4 Common events; [`OnlineError::ZeroLength`] if `window` or
+    /// `votes` is zero.
+    pub fn new(
+        detector: TwoSmartDetector,
+        window: usize,
+        votes: usize,
+    ) -> Result<OnlineDetector, OnlineError> {
+        let spec = WindowSpec::new(&detector, window, votes)?;
+        Ok(OnlineDetector {
+            host: HostState::new(&spec),
+            detector,
+            spec,
+            scratch: DetectScratch::new(),
+        })
+    }
+
+    /// The wrapped detector.
+    pub fn detector(&self) -> &TwoSmartDetector {
+        &self.detector
+    }
+
+    /// Counters each reading must carry: one per programmed event. This is
+    /// fixed at construction, so callers can validate input arity without
+    /// re-deriving the deployment's event set.
+    pub fn arity(&self) -> usize {
+        self.spec.arity()
+    }
+
+    /// The aggregation window length in samples.
+    pub fn window(&self) -> usize {
+        self.spec.window
+    }
+
+    /// Number of raw verdicts in the smoothing majority.
+    pub fn votes(&self) -> usize {
+        self.spec.votes
+    }
+
+    /// Number of further [`push`](Self::push) calls needed before a verdict
+    /// is produced (0 once the window is full).
+    pub fn warmup_remaining(&self) -> usize {
+        self.spec.window - self.host.filled
+    }
+
+    /// Feeds one counter reading (in [`TwoSmartDetector::runtime_events`]
+    /// order). Returns the smoothed verdict once the window has filled,
+    /// `None` during warm-up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counters` has the wrong length. Service paths handling
+    /// untrusted input should call [`try_push`](Self::try_push) instead.
+    // hmd-analyze: hot-path
+    pub fn push(&mut self, counters: &[f64]) -> Option<Verdict> {
+        self.try_push(counters)
+            .expect("one reading per programmed event")
+    }
+
+    /// Non-panicking [`push`](Self::push): rejects a wrong-length reading
+    /// with [`OnlineError::BadLength`] and leaves the window and vote state
+    /// untouched, so a malformed submission cannot corrupt or kill a
+    /// serving session.
+    ///
+    /// # Errors
+    ///
+    /// [`OnlineError::BadLength`] if `counters` does not have one entry per
+    /// programmed event.
+    // hmd-analyze: hot-path
+    pub fn try_push(&mut self, counters: &[f64]) -> Result<Option<Verdict>, OnlineError> {
+        let mut features44 = [0.0; Event::COUNT];
+        if !self.advance_window(counters, &mut features44)? {
+            return Ok(None);
+        }
+        let raw = self.detector.detect_with(&features44, &mut self.scratch);
+        Ok(Some(self.apply_verdict(raw)))
+    }
+
+    /// The windowing half of [`try_push`](Self::try_push), as
+    /// [`HostState::advance_window`]: `advance_window` + `detect_with` +
+    /// [`apply_verdict`](Self::apply_verdict) is exactly `try_push`.
+    // hmd-analyze: hot-path
+    pub fn advance_window(
+        &mut self,
+        counters: &[f64],
+        features44: &mut [f64; Event::COUNT],
+    ) -> Result<bool, OnlineError> {
+        self.host.advance_window(&self.spec, counters, features44)
+    }
+
+    /// The smoothing half of [`try_push`](Self::try_push): folds one raw
+    /// verdict into the vote ring and returns the smoothed majority
+    /// decision.
+    // hmd-analyze: hot-path
+    pub fn apply_verdict(&mut self, raw: Verdict) -> Verdict {
+        self.host.apply_verdict(&self.spec, raw)
+    }
+
+    /// Clears window and vote state (e.g. when the monitored process
+    /// changes).
+    pub fn reset(&mut self) {
+        self.host.reset();
     }
 }
 
@@ -481,9 +548,13 @@ mod tests {
                     *e += v;
                 }
             }
-            let got: Vec<u64> = online.sums.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = online.host.sums.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = expected.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want, "step {i}: {:?} vs {expected:?}", online.sums);
+            assert_eq!(
+                got, want,
+                "step {i}: {:?} vs {expected:?}",
+                online.host.sums
+            );
         }
     }
 
@@ -498,17 +569,17 @@ mod tests {
             (AppClass::Virus, 0.7),
             (AppClass::Backdoor, 0.8),
         ] {
-            online
-                .verdicts
+            let host = &mut online.host;
+            host.verdicts
                 .push_back(Verdict::Malware { class, confidence });
-            online.malware_votes += 1;
-            online.class_votes[OnlineDetector::malware_index(class)] += 1;
+            host.malware_votes += 1;
+            host.class_votes[malware_index(class)] += 1;
         }
         // Backdoor precedes Virus in AppClass::MALWARE (ascending label
         // order), so the 2–2 tie resolves to Backdoor with the mean of the
         // Backdoor confidences.
         assert_eq!(
-            online.smoothed(),
+            online.host.smoothed(),
             Verdict::Malware {
                 class: AppClass::Backdoor,
                 confidence: (0.6 + 0.8) / 2.0,

@@ -296,6 +296,19 @@ mod tests {
     }
 
     #[test]
+    fn restored_detector_can_be_snapshotted_again() {
+        for boosted in [false, true] {
+            let (det, _) = trained(boosted);
+            let snap = DetectorSnapshot::capture(&det).unwrap();
+            assert_eq!(
+                DetectorSnapshot::capture(&snap.restore()),
+                Ok(snap),
+                "boosted = {boosted}"
+            );
+        }
+    }
+
+    #[test]
     fn save_load_round_trips_through_disk() {
         let (det, corpus) = trained(false);
         let snapshot = DetectorSnapshot::capture(&det).unwrap();

@@ -74,12 +74,17 @@ pub enum AnyModel {
 }
 
 impl AnyModel {
-    /// Snapshots any classifier from this crate.
+    /// Snapshots any classifier from this crate, an `AnyModel` included
+    /// (it is cloned).
     ///
     /// Returns `None` for classifier types this enum does not know (e.g. a
     /// downstream implementation of the trait).
     pub fn from_classifier(model: &dyn Classifier) -> Option<AnyModel> {
         let any = model.as_any();
+        // A restored detector's models are already snapshots.
+        if let Some(m) = any.downcast_ref::<AnyModel>() {
+            return Some(m.clone());
+        }
         if let Some(m) = any.downcast_ref::<J48>() {
             return Some(AnyModel::J48(m.clone()));
         }

@@ -1,17 +1,18 @@
 //! Per-host detection sessions behind a sharded lock.
 //!
-//! A fleet submits interleaved telemetry from many hosts; each host needs
-//! its own [`OnlineDetector`] (sliding window + vote smoothing are
-//! per-host state). [`SessionEngine`] keeps those detectors in N
-//! independently locked shards keyed by a hash of the host id, so worker
-//! threads serving different hosts almost never contend, and evicts
-//! sessions that have gone idle so a churning fleet cannot grow memory
-//! without bound.
+//! A fleet submits interleaved telemetry from many hosts. The engine holds
+//! the one served [`TwoSmartDetector`]; a host's session holds only what
+//! belongs to that host — its sliding window and vote history (a
+//! [`HostState`]) plus its last accepted `seq` and last-seen tick.
+//! [`SessionEngine`] keeps sessions in N independently locked shards keyed
+//! by a hash of the host id, so worker threads serving different hosts
+//! almost never contend, and evicts sessions that have gone idle so a
+//! churning fleet cannot grow memory without bound.
 //!
 //! # Determinism
 //!
 //! The verdict sequence of a host depends only on the counter readings fed
-//! to *its* detector, in `seq` order. The engine enforces strictly
+//! to *its* window, in `seq` order. The engine enforces strictly
 //! increasing per-host `seq` (rejecting replays/reorders with
 //! [`SubmitError::OutOfOrder`]) and rejects wrong-arity readings before
 //! they touch the window, so shard layout, worker count, and cross-host
@@ -27,8 +28,8 @@
 //!   `host_id → slot` index (fixed constant-seed hash, never iterated for
 //!   output), and evicted through a two-level timer wheel bucketed by
 //!   expiry tick — an idle sweep costs O(expiring), not O(resident).
-//!   Evicted slots keep their detector allocation and are reset in place
-//!   on reuse, so steady-state submit and evict allocate nothing;
+//!   Evicted slots keep their window and vote buffers and are reset in
+//!   place on reuse, so steady-state submit and evict allocate nothing;
 //!   generational handles guarantee a reincarnated host id can never
 //!   observe a stale predecessor's seq/window state.
 //! - **BTree**: the original `BTreeMap<u64, HostSession>` per shard with a
@@ -40,14 +41,13 @@
 use crate::metrics::Metrics;
 use hmd_hpc_sim::event::Event;
 use hmd_hpc_sim::workload::AppClass;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use twosmart::detector::{
     CascadeMode, CascadeVerdict, DetectBatchScratch, TwoSmartDetector, Verdict,
 };
-use twosmart::online::{OnlineDetector, OnlineError};
-use twosmart::persist::DetectorSnapshot;
+use twosmart::online::{HostState, OnlineError, WindowSpec};
 
 /// Which per-shard session store backs the engine.
 ///
@@ -108,9 +108,9 @@ pub enum TimeSource {
 pub struct SessionConfig {
     /// Number of independently locked shards (clamped to ≥ 1).
     pub shards: usize,
-    /// Sliding-window length handed to each host's [`OnlineDetector`].
+    /// Sliding-window length of each host's [`HostState`].
     pub window: usize,
-    /// Vote-smoothing depth handed to each host's [`OnlineDetector`].
+    /// Vote-smoothing depth of each host's [`HostState`].
     pub votes: usize,
     /// A session is evictable once this many logical ticks (see
     /// [`TimeSource`]) have passed since it last saw a submit. `0`
@@ -141,7 +141,7 @@ impl Default for SessionConfig {
 }
 
 /// Why a `Submit` was rejected. The submission is dropped without touching
-/// the host's detector state, so a bad frame never perturbs verdicts.
+/// the host's window and vote state, so a bad frame never perturbs verdicts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
     /// The reading did not carry one counter per programmed event.
@@ -176,9 +176,21 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 struct HostSession {
-    online: OnlineDetector,
+    state: HostState,
     last_seq: Option<u64>,
     last_seen: u64,
+}
+
+impl HostSession {
+    // hmd-analyze: hot-path
+    // hmd-analyze: allow(transitive-hot-path-alloc, "one-time per-host session construction, not per-reading")
+    fn new(spec: &WindowSpec, now: u64) -> HostSession {
+        HostSession {
+            state: HostState::new(spec),
+            last_seq: None,
+            last_seen: now,
+        }
+    }
 }
 
 /// One shard's sessions, behind one of the two interchangeable stores.
@@ -209,23 +221,14 @@ impl ShardStore {
         &mut self,
         host_id: u64,
         now: u64,
-        template: &OnlineDetector,
+        spec: &WindowSpec,
     ) -> (&mut HostSession, bool) {
         match self {
-            ShardStore::BTree(map) => {
-                let mut created = false;
-                let session = map.entry(host_id).or_insert_with(|| {
-                    created = true;
-                    HostSession {
-                        // hmd-analyze: allow(hot-path-alloc, "one-time per-host session construction, not per-reading")
-                        online: template.clone(),
-                        last_seq: None,
-                        last_seen: now,
-                    }
-                });
-                (session, created)
-            }
-            ShardStore::Slab(slab) => slab.admit(host_id, now, template),
+            ShardStore::BTree(map) => match map.entry(host_id) {
+                Entry::Occupied(e) => (e.into_mut(), false),
+                Entry::Vacant(e) => (e.insert(HostSession::new(spec, now)), true),
+            },
+            ShardStore::Slab(slab) => slab.admit(host_id, now, spec),
         }
     }
 
@@ -267,9 +270,9 @@ impl ShardStore {
 
 /// A slab-backed session shard.
 ///
-/// Sessions live in `slots`; a freed slot keeps its detector allocation on
-/// the `free` list and is **reset in place** when a new host reuses it, so
-/// session churn allocates nothing in steady state. `host_id → slot`
+/// Sessions live in `slots`; a freed slot keeps its window and vote
+/// buffers on the `free` list and is **reset in place** when a new host
+/// reuses it, so session churn allocates nothing in steady state. `host_id → slot`
 /// lookups go through [`SlotIndex`]; idle expiry goes through [`Wheel`].
 ///
 /// Each slot carries a generation counter, bumped on eviction. A wheel
@@ -321,26 +324,20 @@ impl SlabShard {
     }
 
     /// [`ShardStore::get_or_admit`] for the slab: reuses a freed slot
-    /// (resetting the detector ring in place) before growing the slab.
+    /// (resetting its window and votes in place) before growing the slab.
     // hmd-analyze: hot-path
-    fn admit(
-        &mut self,
-        host_id: u64,
-        now: u64,
-        template: &OnlineDetector,
-    ) -> (&mut HostSession, bool) {
+    fn admit(&mut self, host_id: u64, now: u64, spec: &WindowSpec) -> (&mut HostSession, bool) {
         if let Some(slot) = self.index.lookup(host_id) {
             return (&mut self.slots[slot as usize].session, false);
         }
         let slot = match self.free.pop() {
             Some(i) => {
-                // Reset-in-place: the freed slot's detector keeps its ring
-                // and vote buffers; clearing them is O(window), not a
-                // clone of the ~3.4 KB template.
+                // Reset-in-place: the freed slot keeps its ring and vote
+                // buffers; clearing them allocates nothing.
                 let s = &mut self.slots[i as usize];
                 s.host_id = host_id;
                 s.occupied = true;
-                s.session.online.reset();
+                s.session.state.reset();
                 s.session.last_seq = None;
                 s.session.last_seen = now;
                 i
@@ -351,12 +348,7 @@ impl SlabShard {
                     host_id,
                     generation: 0,
                     occupied: true,
-                    session: HostSession {
-                        // hmd-analyze: allow(hot-path-alloc, "one-time per-host session construction, not per-reading")
-                        online: template.clone(),
-                        last_seq: None,
-                        last_seen: now,
-                    },
+                    session: HostSession::new(spec, now),
                 });
                 i
             }
@@ -733,11 +725,14 @@ impl SubmitBatch {
     }
 }
 
-/// Sharded host-id → [`OnlineDetector`] map.
+/// One served detector plus a sharded host-id → session map; a session
+/// holds only its host's window and vote state.
 pub struct SessionEngine {
     shards: Vec<Mutex<ShardStore>>,
-    /// Never-pushed prototype cloned for each new host.
-    template: OnlineDetector,
+    /// The one detector every host's windows are scored with.
+    detector: TwoSmartDetector,
+    /// Window and vote geometry shared by every session.
+    spec: WindowSpec,
     idle_after: u64,
     /// Logical clock; advanced per submit or externally per [`TimeSource`].
     clock: AtomicU64,
@@ -745,13 +740,13 @@ pub struct SessionEngine {
     /// Stage-2 gating policy for the batched drain.
     cascade: CascadeMode,
     /// Estimated in-memory bytes of one session, computed once from the
-    /// template; feeds the `session_bytes` gauge.
+    /// spec; feeds the `session_bytes` gauge.
     per_session_bytes: u64,
     metrics: Arc<Metrics>,
 }
 
 impl SessionEngine {
-    /// Builds an engine serving clones of `detector` wrapped per the
+    /// Builds an engine serving `detector`, windowing each host per the
     /// config's window/votes.
     ///
     /// # Errors
@@ -763,14 +758,17 @@ impl SessionEngine {
         config: &SessionConfig,
         metrics: Arc<Metrics>,
     ) -> Result<SessionEngine, OnlineError> {
-        let template = OnlineDetector::new(detector, config.window, config.votes)?;
-        let per_session_bytes = estimate_session_bytes(&template);
+        let spec = WindowSpec::new(&detector, config.window, config.votes)?;
+        // A session is its struct plus the buffers a fresh window allocates.
+        let per_session_bytes =
+            (std::mem::size_of::<HostSession>() + HostState::new(&spec).heap_bytes()) as u64;
         let shards = (0..config.shards.max(1))
             .map(|_| Mutex::new(ShardStore::new(config.store, config.idle_after)))
             .collect();
         Ok(SessionEngine {
             shards,
-            template,
+            detector,
+            spec,
             idle_after: config.idle_after,
             clock: AtomicU64::new(0),
             time: config.time,
@@ -778,16 +776,6 @@ impl SessionEngine {
             per_session_bytes,
             metrics,
         })
-    }
-
-    /// The stage-2 gating policy the batched drain runs under.
-    pub fn cascade(&self) -> CascadeMode {
-        self.cascade
-    }
-
-    /// Counters each `Submit` must carry, in programmed-event order.
-    pub fn expected_arity(&self) -> usize {
-        self.template.arity()
     }
 
     /// Locks a shard, recovering from poisoning: a worker that panicked
@@ -798,74 +786,46 @@ impl SessionEngine {
         shard.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Feeds one reading to `host_id`'s detector, creating the session on
-    /// first contact. Returns the smoothed verdict (`None` during
-    /// warm-up).
+    /// Feeds one reading to `host_id`'s session, creating it on first
+    /// contact. Returns the smoothed verdict (`None` during warm-up).
+    ///
+    /// A batch of one through [`submit_batch`](Self::submit_batch), so it
+    /// runs under the engine's [`CascadeMode`] like every other submit.
+    /// It allocates a fresh [`SubmitBatch`] per call; serving paths queue
+    /// into a reused one instead.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] if the reading is wrong-arity or out of order; the
     /// session state is untouched in both cases.
-    // hmd-analyze: hot-path
     pub fn submit(
         &self,
         host_id: u64,
         seq: u64,
         counters: &[f64],
     ) -> Result<Option<Verdict>, SubmitError> {
-        let now = match self.time {
-            TimeSource::PerSubmit => self.clock.fetch_add(1, Ordering::Relaxed),
-            TimeSource::External => self.clock.load(Ordering::Relaxed),
-        };
-        let mut shard = Self::lock(&self.shards[self.shard_of(host_id)]);
-        let (session, created) = shard.get_or_admit(host_id, now, &self.template);
-        if created {
-            self.metrics.bump(&self.metrics.sessions);
-            self.metrics
-                .add(&self.metrics.session_bytes, self.per_session_bytes);
-        }
-        if let Some(last) = session.last_seq {
-            if seq <= last {
-                return Err(SubmitError::OutOfOrder { last, got: seq });
-            }
-        }
-        let verdict = match session.online.try_push(counters) {
-            Ok(v) => v,
-            Err(OnlineError::BadLength { expected, got }) => {
-                return Err(SubmitError::BadLength { expected, got });
-            }
-            // NotDeployable/ZeroLength are construction-time failures that
-            // `try_push` cannot return. If that ever changes, reject the
-            // frame rather than panicking the worker.
-            Err(_) => {
-                return Err(SubmitError::BadLength {
-                    expected: self.template.arity(),
-                    got: counters.len(),
-                });
-            }
-        };
-        session.last_seq = Some(seq);
-        session.last_seen = now;
-        Ok(verdict)
+        let mut batch = SubmitBatch::new();
+        batch.push(host_id, seq, counters);
+        self.submit_batch(&mut batch);
+        // `submit_batch` records exactly one outcome per queued item.
+        batch.results.pop().unwrap_or(Ok(None))
     }
 
     /// Drains a queue of submissions through the batched cascade.
     ///
     /// Phase A windows every item in submission order (clock tick, session
-    /// creation, seq guard, window advance — exactly the per-item steps of
-    /// [`submit`](Self::submit)); full windows contribute one lane to a
-    /// feature batch. One [`TwoSmartDetector::detect_batch_with`] call
-    /// then scores all lanes under the engine's [`CascadeMode`], and phase
-    /// B folds each raw verdict back into its session's vote smoothing, in
-    /// submission order.
+    /// creation, seq guard, window advance); full windows contribute one
+    /// lane to a feature batch. One [`TwoSmartDetector::detect_batch_with`]
+    /// call then scores all lanes with the engine's detector under its
+    /// [`CascadeMode`], and phase B folds each raw verdict back into its
+    /// session's vote smoothing, in submission order.
     ///
     /// Under [`CascadeMode::Always`] every item's result is bit-identical
-    /// to calling [`submit`](Self::submit) item by item: the windowing and
-    /// smoothing halves are the same code, and the batched cascade is the
-    /// property-tested bit-identity oracle of the scalar detector. All
-    /// detector clones are identical, so scoring through the engine's
-    /// template is the same arithmetic as scoring through each session's
-    /// own clone.
+    /// to feeding each host's readings to its own
+    /// [`OnlineDetector::push`](twosmart::online::OnlineDetector::push):
+    /// the windowing and smoothing halves are the same [`HostState`] code,
+    /// and the batched cascade is the property-tested bit-identity oracle
+    /// of the scalar detector.
     ///
     /// Results land in `batch` (see [`SubmitBatch::results`]); per-class
     /// stage-2 invocation/skip counts land in the engine's metrics.
@@ -886,7 +846,7 @@ impl SessionEngine {
                 TimeSource::External => self.clock.load(Ordering::Relaxed),
             };
             let mut shard = Self::lock(&self.shards[self.shard_of(host_id)]);
-            let (session, created) = shard.get_or_admit(host_id, now, &self.template);
+            let (session, created) = shard.get_or_admit(host_id, now, &self.spec);
             if created {
                 self.metrics.bump(&self.metrics.sessions);
                 self.metrics
@@ -901,7 +861,10 @@ impl SessionEngine {
                 }
             }
             let mut features44 = [0.0; Event::COUNT];
-            match session.online.advance_window(counters, &mut features44) {
+            match session
+                .state
+                .advance_window(&self.spec, counters, &mut features44)
+            {
                 Ok(ready) => {
                     session.last_seq = Some(seq);
                     session.last_seen = now;
@@ -913,16 +876,10 @@ impl SessionEngine {
                     // overwritten in phase B.
                     batch.results.push(Ok(None));
                 }
-                Err(OnlineError::BadLength { expected, got }) => {
-                    batch
-                        .results
-                        .push(Err(SubmitError::BadLength { expected, got }));
-                }
-                // Construction-time failures `advance_window` cannot
-                // return; reject the frame rather than panicking.
+                // A wrong-arity reading is the only way windowing fails.
                 Err(_) => {
                     batch.results.push(Err(SubmitError::BadLength {
-                        expected: self.template.arity(),
+                        expected: self.spec.arity(),
                         got: counters.len(),
                     }));
                 }
@@ -933,9 +890,8 @@ impl SessionEngine {
             return;
         }
 
-        // One batched cascade over every ready window. Clones are
-        // identical, so the template's arithmetic is every session's.
-        self.template.detector().detect_batch_with(
+        // One batched cascade over every ready window.
+        self.detector.detect_batch_with(
             &batch.features,
             self.cascade,
             &mut batch.scratch,
@@ -960,7 +916,7 @@ impl SessionEngine {
             let (host_id, _) = batch.hosts[item as usize];
             let mut shard = Self::lock(&self.shards[self.shard_of(host_id)]);
             let smoothed = match shard.get_mut(host_id) {
-                Some(session) => session.online.apply_verdict(cv.verdict),
+                Some(session) => session.state.apply_verdict(&self.spec, cv.verdict),
                 // Evicted between phases (concurrent sweeper): the raw
                 // verdict is the best available answer for this item.
                 None => cv.verdict,
@@ -970,18 +926,12 @@ impl SessionEngine {
         self.metrics.add_stage2(&stage2_invoked, &stage2_skipped);
     }
 
-    /// Removes sessions idle for more than `idle_after` ticks as of the
-    /// engine's current clock. Returns the evicted host ids (also counted
-    /// into the `evictions` metric) in a deterministic order: ascending
-    /// shard index, then ascending host id within the shard — so eviction
-    /// logs diff cleanly run to run.
-    pub fn evict_idle(&self) -> Vec<u64> {
-        self.evict_idle_at(self.clock.load(Ordering::Relaxed))
-    }
-
-    /// [`evict_idle`](Self::evict_idle) with a caller-supplied notion of
-    /// "now" on the engine's logical clock — the virtual-time simulation
-    /// sweeps sessions at tick boundaries through this.
+    /// Removes sessions idle for more than `idle_after` ticks as of `now`
+    /// on the engine's logical clock (the virtual-time simulation sweeps at
+    /// tick boundaries through this). Returns the evicted host ids (also
+    /// counted into the `evictions` metric) in a deterministic order:
+    /// ascending shard index, then ascending host id within the shard — so
+    /// eviction logs diff cleanly run to run.
     pub fn evict_idle_at(&self, now: u64) -> Vec<u64> {
         let mut evicted = Vec::new();
         self.evict_idle_at_into(now, &mut evicted);
@@ -1031,9 +981,9 @@ impl SessionEngine {
     }
 
     /// Estimated in-memory bytes of one host session (struct + window and
-    /// vote buffers + a serialized-snapshot proxy for the cloned model's
-    /// heap). Computed once at construction; `sessions() *
-    /// session_bytes_estimate()` is what the `session_bytes` gauge tracks.
+    /// vote buffers; no session holds a model). Computed once at
+    /// construction; `sessions() * session_bytes_estimate()` is what the
+    /// `session_bytes` gauge tracks.
     pub fn session_bytes_estimate(&self) -> u64 {
         self.per_session_bytes
     }
@@ -1043,26 +993,6 @@ impl SessionEngine {
         // so sequential host ids spread across shards.
         (hmd_ml::par::derive_seed(host_id, 0) % self.shards.len() as u64) as usize
     }
-}
-
-/// Estimates the resident bytes of one [`HostSession`]: fixed struct
-/// overhead, the window ring / running-sum / vote buffers the online
-/// wrapper allocates, and the serialized model snapshot as a proxy for the
-/// cloned detector's heap (every session clones the full template).
-fn estimate_session_bytes(template: &OnlineDetector) -> u64 {
-    let k = template.arity();
-    let buffers = template.window() * k * 8 // ring
-        + 2 * k * 8 // running sums + means
-        + template.votes() * std::mem::size_of::<Option<Verdict>>()
-        + k * std::mem::size_of::<usize>(); // event indices
-                                            // The detector is not directly serializable, but its snapshot is — a
-                                            // capture failure (can't happen for a trained detector) degrades the
-                                            // estimate, never the engine.
-    let model = DetectorSnapshot::capture(template.detector())
-        .ok()
-        .and_then(|s| serde_json::to_string(&s).ok())
-        .map_or(0, |j| j.len());
-    (std::mem::size_of::<HostSession>() + buffers + model) as u64
 }
 
 impl std::fmt::Debug for SessionEngine {
@@ -1081,6 +1011,7 @@ mod tests {
     use hmd_hpc_sim::corpus::{CorpusBuilder, CorpusSpec};
     use hmd_hpc_sim::workload::AppClass;
     use hmd_ml::classifier::ClassifierKind;
+    use twosmart::online::OnlineDetector;
 
     fn detector() -> TwoSmartDetector {
         let corpus = CorpusBuilder::new(CorpusSpec::tiny()).build();
@@ -1161,10 +1092,10 @@ mod tests {
         for seq in 0..8 {
             e.submit(2, seq, &r).unwrap();
         }
-        assert_eq!(e.evict_idle(), vec![1]);
+        assert_eq!(e.evict_idle_at(e.ticks()), vec![1]);
         assert_eq!(e.sessions(), 1);
         assert_eq!(metrics.snapshot().evictions, 1);
-        // Returning host 1 restarts warm-up (fresh detector clone).
+        // Returning host 1 restarts warm-up (fresh window).
         assert_eq!(e.submit(1, 99, &r), Ok(None));
     }
 
@@ -1178,7 +1109,7 @@ mod tests {
         for seq in 0..64 {
             e.submit(2, seq, &[1.0; 4]).unwrap();
         }
-        assert_eq!(e.evict_idle(), Vec::<u64>::new());
+        assert_eq!(e.evict_idle_at(e.ticks()), Vec::<u64>::new());
         assert_eq!(e.sessions(), 2);
     }
 
@@ -1200,7 +1131,7 @@ mod tests {
             for seq in 1..40 {
                 e.submit(hosts[0], seq, &r).unwrap();
             }
-            e.evict_idle()
+            e.evict_idle_at(e.ticks())
         };
         let a = run(8);
         let b = run(8);
@@ -1238,7 +1169,7 @@ mod tests {
         )
         .unwrap();
         let per = e.session_bytes_estimate();
-        assert!(per > 0, "estimate includes buffers and model proxy");
+        assert!(per > 0, "estimate includes the window and vote buffers");
         let r = [1.0; 4];
         e.submit(1, 0, &r).unwrap();
         e.submit(2, 0, &r).unwrap();
@@ -1251,7 +1182,7 @@ mod tests {
         for seq in 2..8 {
             e.submit(2, seq, &r).unwrap();
         }
-        assert_eq!(e.evict_idle(), vec![1]);
+        assert_eq!(e.evict_idle_at(e.ticks()), vec![1]);
         let s = metrics.snapshot();
         assert_eq!(s.sessions, 1);
         assert_eq!(s.session_bytes, per);
@@ -1383,19 +1314,21 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_matches_scalar_submit_item_for_item() {
+    fn submit_batch_matches_per_host_online_push_item_for_item() {
         // The same interleaved stream — warm-ups, full windows, a replay
-        // and a wrong-arity reading — through the scalar path on one
-        // engine and the batched drain on another must produce identical
-        // per-item outcomes, and the batched engine's sessions must be
-        // left in the same state (checked by a follow-up submit).
+        // and a wrong-arity reading — through the batched drain (in uneven
+        // chunks) and through `submit` (a batch of one) must reproduce, bit
+        // for bit, a reference that feeds each host's readings to its own
+        // scalar `OnlineDetector::push` behind the engine's seq guard.
         let config = SessionConfig {
             window: 2,
             votes: 1,
+            cascade: CascadeMode::Always,
             ..SessionConfig::default()
         };
-        let scalar = engine(&config);
-        let batched = engine(&config);
+        let det = detector();
+        let batched = SessionEngine::new(det.clone(), &config, Arc::new(Metrics::new())).unwrap();
+        let single = SessionEngine::new(det.clone(), &config, Arc::new(Metrics::new())).unwrap();
         let mut stream: Vec<(u64, u64, Vec<f64>)> = Vec::new();
         for seq in 0..6 {
             for host in [1u64, 2, 3] {
@@ -1407,14 +1340,38 @@ mod tests {
         stream.push((2, 99, vec![1.0, 2.0])); // wrong arity → BadLength
         stream.push((3, 99, vec![2e5, 3e4, 4e3, 5e2]));
 
+        let mut reference: BTreeMap<u64, (OnlineDetector, Option<u64>)> = BTreeMap::new();
         let want: Vec<_> = stream
             .iter()
-            .map(|(h, s, c)| scalar.submit(*h, *s, c))
+            .map(|(h, s, c)| {
+                let (online, last) = reference.entry(*h).or_insert_with(|| {
+                    let online = OnlineDetector::new(det.clone(), config.window, config.votes);
+                    (online.unwrap(), None)
+                });
+                if let Some(last) = *last {
+                    if *s <= last {
+                        return Err(SubmitError::OutOfOrder { last, got: *s });
+                    }
+                }
+                match online.try_push(c) {
+                    Ok(v) => {
+                        *last = Some(*s);
+                        Ok(v)
+                    }
+                    Err(_) => Err(SubmitError::BadLength {
+                        expected: online.arity(),
+                        got: c.len(),
+                    }),
+                }
+            })
             .collect();
+        assert!(
+            want.iter().any(|r| matches!(r, Ok(Some(_)))),
+            "the stream must reach full windows"
+        );
 
         let mut batch = SubmitBatch::new();
         let mut got = Vec::new();
-        // Drain in uneven chunks so batch boundaries cross hosts and seqs.
         for chunk in stream.chunks(5) {
             batch.clear();
             for (h, s, c) in chunk {
@@ -1428,9 +1385,15 @@ mod tests {
                 got.push(r.clone());
             }
         }
-        assert_eq!(got, want);
-        // Both engines advanced their clocks identically.
-        assert_eq!(batched.ticks(), scalar.ticks());
+        assert_eq!(got, want, "batched drain vs per-host push");
+        let one_by_one: Vec<_> = stream
+            .iter()
+            .map(|(h, s, c)| single.submit(*h, *s, c))
+            .collect();
+        assert_eq!(one_by_one, want, "submit vs per-host push");
+        // Every item ticked the per-submit clock once on both paths.
+        assert_eq!(batched.ticks(), stream.len() as u64);
+        assert_eq!(single.ticks(), stream.len() as u64);
     }
 
     #[test]

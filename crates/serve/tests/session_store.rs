@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use twosmart::detector::{TwoSmartDetector, Verdict};
+use twosmart::persist::DetectorSnapshot;
 
 /// One trained detector shared by every test case (training is the
 /// expensive part; engines clone it).
@@ -38,9 +39,17 @@ fn detector() -> TwoSmartDetector {
 }
 
 fn engine(store: StoreKind, idle_after: u64) -> (SessionEngine, Arc<Metrics>) {
+    engine_serving(detector(), store, idle_after)
+}
+
+fn engine_serving(
+    detector: TwoSmartDetector,
+    store: StoreKind,
+    idle_after: u64,
+) -> (SessionEngine, Arc<Metrics>) {
     let metrics = Arc::new(Metrics::new());
     let e = SessionEngine::new(
-        detector(),
+        detector,
         &SessionConfig {
             shards: 4,
             window: 2,
@@ -328,4 +337,33 @@ fn verdict_values_are_preserved_across_slot_reuse() {
             Some(Verdict::Benign | Verdict::Malware { .. })
         ));
     }
+}
+
+#[test]
+fn restored_detector_serves_with_the_same_session_gauge_and_verdicts() {
+    // The gauge counts per-host state only, so an engine serving a
+    // detector restored from its snapshot must report the same per-session
+    // estimate — and give the same verdicts — as one serving the original.
+    let trained = detector();
+    let restored = DetectorSnapshot::capture(&trained)
+        .expect("trained detector snapshots")
+        .restore();
+    let (a, _) = engine_serving(trained, StoreKind::Slab, 8);
+    let (b, _) = engine_serving(restored, StoreKind::Slab, 8);
+    assert_eq!(a.session_bytes_estimate(), b.session_bytes_estimate());
+    // window 2 × 4 counters in the ring, 4 rolling sums, 2 retained votes.
+    let buffers = (2 * 4 + 4) * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<Verdict>();
+    assert!(
+        a.session_bytes_estimate() >= buffers as u64,
+        "estimate {} below the {buffers} buffer bytes",
+        a.session_bytes_estimate()
+    );
+    let run = |e: &SessionEngine| -> Vec<_> {
+        (0..40u64)
+            .map(|i| e.submit(i % 5, i / 5, &reading(i * 53)))
+            .collect()
+    };
+    let (want, got) = (run(&a), run(&b));
+    assert!(want.iter().any(|r| matches!(r, Ok(Some(_)))));
+    assert_eq!(got, want);
 }

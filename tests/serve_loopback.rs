@@ -203,9 +203,10 @@ fn overload_is_shed_with_an_explicit_error() {
     // Budget of 1: the first client occupies it, the second must be shed.
     let handle = start_server(detector, 1, 1);
     let addr = handle.addr();
+    // The accept thread counts a connection against the budget before it
+    // hands the stream to a worker, and only a worker answers `Hello`: a
+    // completed handshake means the occupant already holds the budget.
     let _occupant = DetectorClient::connect(addr, Duration::from_secs(10)).unwrap();
-    // Budget accounting is on the accept thread; give it a moment.
-    std::thread::sleep(Duration::from_millis(100));
     match DetectorClient::connect(addr, Duration::from_secs(10)) {
         Err(ClientError::Handshake(detail)) => {
             assert!(
@@ -233,6 +234,10 @@ fn overload_is_shed_with_an_explicit_error() {
 /// burst of `Drain` requests (~28 B in, ~300 B out — enough amplification
 /// to overwhelm the loopback socket buffers) and appends the garbage
 /// prefix, then never reads a byte.
+///
+/// Nothing here depends on a sleep being long enough: the test waits for
+/// the burst to be decoded, then proves the worker went back over the
+/// stalled connection several times before checking the bounds.
 #[test]
 fn fatal_error_is_queued_once_for_a_slow_reader() {
     // ~560 KB of requests amplify into ~6 MB of replies — beyond anything
@@ -240,6 +245,17 @@ fn fatal_error_is_queued_once_for_a_slow_reader() {
     // flush genuinely stalls. max_outbuf is raised so read-side
     // backpressure does not kick in before the garbage tail is decoded.
     const DRAINS: usize = 20_000;
+    // The readiness pacer probes a connection that makes no progress at
+    // least once per 100 ms (its idle cap); the busy-poll loop visits
+    // every connection on every pass.
+    const PROBE_CAP: Duration = Duration::from_millis(100);
+    // Round trips by a second client after the burst is decoded. Each
+    // request is sent more than a probe cap after the previous one, when
+    // the rogue connection is due again, so the pass of the lone worker
+    // that answers it also goes over the rogue connection. The second
+    // client's frames out (Hello ack + one verdict per round trip) fit in
+    // the bound's slack beside the rogue's Hello ack and single error.
+    const PASSES: usize = 4;
     for event_loop in [EventLoop::BusyPoll, EventLoop::Readiness] {
         let detector = trained_detector();
         let handle = start_server_cfg(detector, 1, 16, |c| {
@@ -256,10 +272,29 @@ fn fatal_error_is_queued_once_for_a_slow_reader() {
         burst.extend_from_slice(b"GET / HTTP/1.1\r\n\r\n"); // oversized prefix
         rogue.send_raw_for_test(&burst).unwrap();
 
-        // Never read from `rogue`; give the worker plenty of passes to
-        // exhibit the bug (the buggy loop re-queued the error every pass,
-        // so 600 ms ≈ thousands of duplicates at the 200 µs cadence).
-        std::thread::sleep(Duration::from_millis(600));
+        // Never read from `rogue`. Wait until the worker has decoded the
+        // whole burst, garbage tail included.
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        loop {
+            let stats = handle.metrics().snapshot();
+            if stats.malformed >= 1 && stats.frames_in >= DRAINS as u64 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "burst never decoded ({event_loop:?}): {stats:?}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Then make the worker revisit the rogue connection: the buggy
+        // loop re-queued the error on every such pass.
+        let mut probe = DetectorClient::connect(addr, Duration::from_secs(30)).unwrap();
+        for (seq, r) in host_stream(SEED, 9, PASSES).iter().enumerate() {
+            std::thread::sleep(PROBE_CAP + Duration::from_millis(20));
+            probe
+                .submit(9, seq as u64, r)
+                .expect("the worker keeps serving");
+        }
         let stats = handle.metrics().snapshot();
         assert_eq!(
             stats.malformed, 1,
@@ -269,7 +304,7 @@ fn fatal_error_is_queued_once_for_a_slow_reader() {
             stats.frames_out <= DRAINS as u64 + 8,
             "backlog must stay bounded by real replies ({event_loop:?}): {stats:?}"
         );
-        drop(rogue);
+        drop((rogue, probe));
         handle.shutdown();
     }
 }
@@ -282,8 +317,9 @@ fn accepts_proceed_while_shed_peers_refuse_to_read() {
     let detector = trained_detector();
     let handle = start_server(detector, 1, 1);
     let addr = handle.addr();
+    // Counted against the budget once its handshake completes (see
+    // `overload_is_shed_with_an_explicit_error`).
     let mut occupant = DetectorClient::connect(addr, Duration::from_secs(10)).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
 
     // 32 raw connections that will be shed and never read their error.
     let stubborn: Vec<std::net::TcpStream> = (0..32)
